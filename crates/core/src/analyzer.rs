@@ -2,6 +2,7 @@ use crate::arcs::ArcPmfs;
 use crate::budget::BudgetTracker;
 use crate::faults;
 use crate::group_store::GroupStore;
+use crate::incremental::{NodeRecord, Prune};
 use crate::node_eval::{with_refs, NodeEval, StaticEval};
 use crate::region::{CachedRegion, EvalScratch, RegionEval, RegionOutcome, RegionScaffold};
 use crate::AnalysisConfig;
@@ -203,8 +204,14 @@ pub fn try_analyze_cancellable(
     obs: &Session,
     cancel: &CancelToken,
 ) -> Result<PepAnalysis, PepError> {
-    let zero = DiscreteDist::point(0);
-    try_analyze_with_inputs_cancellable(netlist, timing, config, |_| zero.clone(), obs, cancel)
+    try_analyze_with_inputs_cancellable(
+        netlist,
+        timing,
+        config,
+        |_| DiscreteDist::point(0),
+        obs,
+        cancel,
+    )
 }
 
 /// Analyzes a circuit with caller-supplied arrival groups at the primary
@@ -219,55 +226,19 @@ where
     F: Fn(NodeId) -> DiscreteDist,
 {
     // invariant: see `analyze`.
-    try_analyze_with_inputs(netlist, timing, config, pi_group).unwrap_or_else(|e| panic!("{e}"))
+    try_analyze_with_inputs_cancellable(
+        netlist,
+        timing,
+        config,
+        pi_group,
+        &Session::disabled(),
+        &CancelToken::new(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`analyze_with_inputs`], returning a typed [`PepError`] instead of
-/// panicking.
-pub fn try_analyze_with_inputs<F>(
-    netlist: &Netlist,
-    timing: &Timing,
-    config: &AnalysisConfig,
-    pi_group: F,
-) -> Result<PepAnalysis, PepError>
-where
-    F: Fn(NodeId) -> DiscreteDist,
-{
-    try_analyze_with_inputs_observed(netlist, timing, config, pi_group, &Session::disabled())
-}
-
-/// [`analyze_with_inputs`], recording phases and metrics into `obs`.
-pub fn analyze_with_inputs_observed<F>(
-    netlist: &Netlist,
-    timing: &Timing,
-    config: &AnalysisConfig,
-    pi_group: F,
-    obs: &Session,
-) -> PepAnalysis
-where
-    F: Fn(NodeId) -> DiscreteDist,
-{
-    // invariant: see `analyze`.
-    try_analyze_with_inputs_observed(netlist, timing, config, pi_group, obs)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`try_analyze`] with caller-supplied primary-input groups, recording
-/// phases and metrics into `obs`.
-pub fn try_analyze_with_inputs_observed<F>(
-    netlist: &Netlist,
-    timing: &Timing,
-    config: &AnalysisConfig,
-    pi_group: F,
-    obs: &Session,
-) -> Result<PepAnalysis, PepError>
-where
-    F: Fn(NodeId) -> DiscreteDist,
-{
-    try_analyze_with_inputs_cancellable(netlist, timing, config, pi_group, obs, &CancelToken::new())
-}
-
-/// [`try_analyze_with_inputs_observed`] honoring a cooperative
+/// [`analyze_with_inputs`], returning a typed [`PepError`], recording
+/// phases and metrics into `obs`, and honoring a cooperative
 /// [`CancelToken`] (see [`try_analyze_cancellable`] for the degrade /
 /// abort semantics).
 pub fn try_analyze_with_inputs_cancellable<F>(
@@ -281,44 +252,26 @@ pub fn try_analyze_with_inputs_cancellable<F>(
 where
     F: Fn(NodeId) -> DiscreteDist,
 {
-    let config = &config.validated();
-    let step = config
-        .step_override
-        .unwrap_or_else(|| timing.step_for_samples(config.samples));
-    obs.gauge("pep.time_step").set(step.size());
-    let arcs = {
-        let _phase = obs.phase("arc-pmf-build");
-        ArcPmfs::discretize_all(netlist, timing, step)
-    };
-    let supports = {
-        let _phase = obs.phase("levelize");
-        SupportSets::compute(netlist)
-    };
-    let eval = StaticEval {
-        arcs: &arcs,
-        mode: config.mode,
-    };
-    let (groups, stats, warnings) = run(
+    let (prep, groups, out) = cold_pass(
         netlist,
-        &arcs,
-        &supports,
-        &eval,
+        timing,
         config,
-        pi_group,
-        |_| true,
+        &pi_group,
+        None,
+        &mut Vec::new(),
         obs,
         cancel,
     )?;
     Ok(PepAnalysis {
-        step,
-        groups,
-        stats,
-        warnings,
+        step: prep.step,
+        groups: groups.into_groups(),
+        stats: out.stats,
+        warnings: out.warnings,
     })
 }
 
 /// The per-run metric handles `run` drives, resolved once up front.
-pub(crate) struct RunMetrics {
+struct RunMetrics {
     nodes_evaluated: pep_obs::Counter,
     events_propagated: pep_obs::Counter,
     events_dropped: pep_obs::Counter,
@@ -332,7 +285,7 @@ pub(crate) struct RunMetrics {
 }
 
 impl RunMetrics {
-    pub(crate) fn resolve(obs: &Session) -> Self {
+    fn resolve(obs: &Session) -> Self {
         RunMetrics {
             nodes_evaluated: obs.counter("pep.nodes_evaluated"),
             events_propagated: obs.counter("pep.events_propagated"),
@@ -376,18 +329,35 @@ impl RunMetrics {
 /// committed (group write-back plus metric recording) on the
 /// orchestration thread in wave order, so the metrics registry — float
 /// accumulation order included — is identical for every thread count.
-pub(crate) struct NodeResult {
-    pub(crate) group: DiscreteDist,
+struct NodeResult {
+    group: DiscreteDist,
     /// Mass removed by the `P_m` filter at this node's final group.
-    pub(crate) dropped_mass: f64,
+    dropped_mass: f64,
     /// Events removed by the `P_m` filter at this node's final group.
-    pub(crate) events_dropped: u64,
+    events_dropped: u64,
     /// `(input count, outcome)` when the node was evaluated as a
     /// supergate output.
-    pub(crate) supergate: Option<(usize, RegionOutcome)>,
+    supergate: Option<(usize, RegionOutcome)>,
     /// Whether a degenerate sampling-evaluation result was recovered by
     /// plain re-evaluation (surfaced as a warning at commit time).
-    pub(crate) recovered: bool,
+    recovered: bool,
+}
+
+impl NodeResult {
+    /// This node's share of the run's [`AnalysisStats`].
+    fn stats(&self) -> AnalysisStats {
+        let mut s = AnalysisStats {
+            dropped_mass: self.dropped_mass,
+            ..AnalysisStats::default()
+        };
+        if let Some((_, outcome)) = &self.supergate {
+            s.supergates = 1;
+            s.stems_conditioned = outcome.stems_conditioned;
+            s.stems_filtered = outcome.stems_filtered;
+            s.hybrid_evaluations = outcome.used_hybrid as usize;
+        }
+        s
+    }
 }
 
 /// Evaluates one non-input node against already-resolved fanin groups.
@@ -396,10 +366,9 @@ pub(crate) struct NodeResult {
 /// per-node `supergate-extract`/`sampling-eval` phases live on a single
 /// logical stack); worker threads pass `None` and record nothing.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn eval_one<E: NodeEval>(
+fn eval_one<E: NodeEval>(
     netlist: &Netlist,
-    arcs: &ArcPmfs,
-    supports: &SupportSets,
+    prep: &Prepared,
     eval: &E,
     config: &AnalysisConfig,
     tracker: &BudgetTracker,
@@ -415,7 +384,7 @@ pub(crate) fn eval_one<E: NodeEval>(
     }
     let span = scratch.dist.trace.begin(TraceLevel::Nodes);
     let mut supergate = None;
-    let mut g = if supports.is_reconvergent(netlist, node) {
+    let mut g = if prep.supports.is_reconvergent(netlist, node) {
         if faults::fires(faults::SUPERGATE_ALLOC) {
             panic!("injected fault: supergate allocation failure");
         }
@@ -438,7 +407,7 @@ pub(crate) fn eval_one<E: NodeEval>(
         // groups; only the output itself is re-derived locally.
         let mut region = RegionEval::with_scaffold(
             netlist,
-            arcs,
+            &prep.arcs,
             eval,
             sg,
             scaffold,
@@ -517,11 +486,28 @@ pub(crate) fn eval_one<E: NodeEval>(
     })
 }
 
-/// Publishes one node's result: metrics first (in wave/node order — the
-/// only order-sensitive accumulation is the `dropped_mass` float sum),
-/// then warnings (same deterministic order), then the group itself.
-/// With a fail-fast budget, the first degradation aborts the run
-/// instead.
+/// Runs one node's evaluation with its panics caught, as a typed
+/// [`AnalysisError::WorkerPanic`] naming the node.
+fn caught(
+    netlist: &Netlist,
+    node: NodeId,
+    eval: impl FnOnce() -> Result<NodeResult, AnalysisError>,
+) -> Result<NodeResult, AnalysisError> {
+    catch_unwind(AssertUnwindSafe(eval)).unwrap_or_else(|p| {
+        Err(AnalysisError::WorkerPanic {
+            node: netlist.node_name(node).to_owned(),
+            detail: panic_detail(p.as_ref()),
+        })
+    })
+}
+
+/// The single commit path, on the orchestration thread in wave order:
+/// metrics first (the only order-sensitive accumulation is the
+/// `dropped_mass` float sum), then warnings (same deterministic order),
+/// the node's retained record, and finally the group itself — appended
+/// to the wave's plane on a cold pass, recommitted on a delta pass only
+/// when it changed bit for bit (change pruning). With a fail-fast
+/// budget, the first degradation aborts the run instead.
 #[allow(clippy::too_many_arguments)]
 fn commit(
     metrics: &RunMetrics,
@@ -529,27 +515,12 @@ fn commit(
     tracker: &BudgetTracker,
     obs: &Session,
     warnings: &mut Vec<Warning>,
+    pass: &mut Pass<'_>,
     groups: &mut GroupStore,
     node: NodeId,
     r: NodeResult,
 ) -> Result<(), PepError> {
-    record_result(metrics, netlist, tracker, obs, warnings, node, &r)?;
-    groups.commit(node.index(), r.group.as_view());
-    Ok(())
-}
-
-/// The metric- and warning-publishing half of [`commit`], shared with
-/// the incremental driver (which writes the group via
-/// [`GroupStore::recommit`] instead).
-pub(crate) fn record_result(
-    metrics: &RunMetrics,
-    netlist: &Netlist,
-    tracker: &BudgetTracker,
-    obs: &Session,
-    warnings: &mut Vec<Warning>,
-    node: NodeId,
-    r: &NodeResult,
-) -> Result<(), PepError> {
+    let first = warnings.len();
     if let Some((inputs, outcome)) = &r.supergate {
         metrics.supergate_inputs.record(*inputs as f64);
         metrics.supergates.inc();
@@ -587,6 +558,24 @@ pub(crate) fn record_result(
     metrics.nodes_evaluated.inc();
     metrics.events_propagated.add(r.group.support_len() as u64);
     metrics.group_size.record(r.group.support_len() as f64);
+    if let Some(records) = pass.records.as_deref_mut() {
+        let rec = &mut records[node.index()];
+        // A memory-ladder warning belongs to its wave, not to the node
+        // it is filed under, so re-evaluating the node keeps it.
+        let ladder = std::mem::take(&mut rec.warnings)
+            .into_iter()
+            .filter(|w| w.code == MEMORY_WARNING);
+        rec.warnings = warnings[first..].iter().cloned().chain(ladder).collect();
+        rec.stats = r.stats();
+    }
+    match pass.delta.as_mut() {
+        None => groups.commit(node.index(), r.group.as_view()),
+        Some(prune) => {
+            if prune.differs(groups.view(node.index()), node, r.group.as_view()) {
+                groups.recommit(node.index(), r.group.as_view());
+            }
+        }
+    }
     Ok(())
 }
 
@@ -594,8 +583,7 @@ pub(crate) fn record_result(
 /// (wave index = 1 + deepest fanin's wave; primary inputs and other
 /// fanin-free nodes form wave 0). Within a wave, topological order is
 /// preserved so the sequential path visits nodes exactly as the
-/// original levelized loop did. Shared by the cold driver ([`run`]) and
-/// the incremental driver so both schedule bit-identically.
+/// original levelized loop did.
 pub(crate) fn build_waves(netlist: &Netlist) -> Vec<Vec<NodeId>> {
     let mut waves: Vec<Vec<NodeId>> = Vec::new();
     let mut depth = vec![0u32; netlist.node_count()];
@@ -616,8 +604,123 @@ pub(crate) fn build_waves(netlist: &Netlist) -> Vec<Vec<NodeId>> {
     waves
 }
 
-/// The shared wave-parallel driver: plain cell evaluation on independent
-/// fanins, supergate sampling-evaluation on reconvergent gates.
+/// What a pass reads that depends only on the circuit, the timing model
+/// and the config — built once per cold analysis, and kept by the
+/// incremental engine for its delta passes.
+pub(crate) struct Prepared {
+    /// The validated config, its time step pinned (`step_override`) so
+    /// a retained analysis keeps its grid across deltas.
+    pub(crate) config: AnalysisConfig,
+    pub(crate) step: TimeStep,
+    pub(crate) arcs: ArcPmfs,
+    pub(crate) supports: SupportSets,
+    pub(crate) waves: Vec<Vec<NodeId>>,
+}
+
+impl Prepared {
+    pub(crate) fn new(
+        netlist: &Netlist,
+        timing: &Timing,
+        config: &AnalysisConfig,
+        obs: &Session,
+    ) -> Self {
+        let mut config = config.validated();
+        let step = config
+            .step_override
+            .unwrap_or_else(|| timing.step_for_samples(config.samples));
+        config.step_override = Some(step);
+        obs.gauge("pep.time_step").set(step.size());
+        let arcs = {
+            let _phase = obs.phase("arc-pmf-build");
+            ArcPmfs::discretize_all(netlist, timing, step)
+        };
+        let _phase = obs.phase("levelize");
+        Prepared {
+            config,
+            step,
+            arcs,
+            supports: SupportSets::compute(netlist),
+            waves: build_waves(netlist),
+        }
+    }
+}
+
+/// What varies between [`run`] passes; the default is a cold pass over
+/// every node.
+#[derive(Default)]
+pub(crate) struct Pass<'p> {
+    /// Nodes to visit, indexed by node (`None` = every node). The store
+    /// keeps whatever it already holds for the rest.
+    pub(crate) active: Option<&'p [bool]>,
+    /// Cached supergate extractions, indexed by node (`None` = extract
+    /// while evaluating).
+    pub(crate) regions: Option<&'p [Option<CachedRegion>]>,
+    /// Per-node stats and warnings to retain, indexed by node.
+    pub(crate) records: Option<&'p mut [NodeRecord]>,
+    /// `Some` makes this a delta pass: groups are recommitted into the
+    /// one plane the caller opened, pruned where the change stopped
+    /// being visible, and the memory ladder stays off (its escalation
+    /// depends on whole-run history). `None` is a cold pass: a fresh
+    /// plane per wave, with the ladder.
+    pub(crate) delta: Option<Prune<'p>>,
+}
+
+/// What a [`run`] pass reports besides the groups it committed.
+pub(crate) struct RunOutcome {
+    /// The pass's registry delta.
+    pub(crate) stats: AnalysisStats,
+    /// Warnings, in commit order.
+    pub(crate) warnings: Vec<Warning>,
+    /// Nodes visited: evaluated gates plus committed primary inputs.
+    pub(crate) evaluated: usize,
+}
+
+/// The code the memory ladder files its warnings under.
+const MEMORY_WARNING: &str = "budget.memory";
+
+/// The cold static pass behind [`try_analyze`] and the incremental
+/// engine's cold build: prepare, then evaluate every node into fresh
+/// per-wave planes.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn cold_pass(
+    netlist: &Netlist,
+    timing: &Timing,
+    config: &AnalysisConfig,
+    pi_group: &dyn Fn(NodeId) -> DiscreteDist,
+    records: Option<&mut [NodeRecord]>,
+    scratches: &mut Vec<EvalScratch>,
+    obs: &Session,
+    cancel: &CancelToken,
+) -> Result<(Prepared, GroupStore, RunOutcome), PepError> {
+    let prep = Prepared::new(netlist, timing, config, obs);
+    let eval = StaticEval {
+        arcs: &prep.arcs,
+        mode: prep.config.mode,
+    };
+    let mut groups = GroupStore::new(netlist.node_count());
+    let pass = Pass {
+        records,
+        ..Pass::default()
+    };
+    let out = run(
+        netlist,
+        &prep,
+        &eval,
+        pi_group,
+        pass,
+        &mut groups,
+        scratches,
+        obs,
+        cancel,
+    )?;
+    Ok((prep, groups, out))
+}
+
+/// The wave driver — the one scheduler behind cold analysis, the
+/// dynamic (transition) mode, and the incremental engine's cold build
+/// and delta replays, which differ only in their [`Pass`]. Plain cell
+/// evaluation on independent fanins, supergate sampling-evaluation on
+/// reconvergent gates.
 ///
 /// Nodes are scheduled in dependency-counted waves: a node joins the
 /// wave right after its deepest fanin's, so when a wave runs every
@@ -628,26 +731,23 @@ pub(crate) fn build_waves(netlist: &Netlist) -> Vec<Vec<NodeId>> {
 /// orchestration thread in wave order, which makes the output groups
 /// *and* the metrics registry bit-identical for every thread count.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run<E, F, A>(
+pub(crate) fn run<E: NodeEval>(
     netlist: &Netlist,
-    arcs: &ArcPmfs,
-    supports: &SupportSets,
+    prep: &Prepared,
     eval: &E,
-    config: &AnalysisConfig,
-    pi_group: F,
-    is_active: A,
+    pi_group: &dyn Fn(NodeId) -> DiscreteDist,
+    mut pass: Pass<'_>,
+    groups: &mut GroupStore,
+    scratches: &mut Vec<EvalScratch>,
     obs: &Session,
     cancel: &CancelToken,
-) -> Result<(Vec<DiscreteDist>, AnalysisStats, Vec<Warning>), PepError>
-where
-    E: NodeEval,
-    F: Fn(NodeId) -> DiscreteDist,
-    A: Fn(NodeId) -> bool,
-{
-    let _propagate = obs.phase("propagate");
+) -> Result<RunOutcome, PepError> {
+    let cold = pass.delta.is_none();
+    // A delta pass runs inside its caller's `incremental-propagate`.
+    let _propagate = cold.then(|| obs.phase("propagate"));
+    let config = &prep.config;
     let metrics = RunMetrics::resolve(obs);
     let base = metrics.baseline();
-    let n = netlist.node_count();
     let threads = config.effective_threads();
     let tracker = BudgetTracker::with_cancel(config.budget.as_ref(), cancel.clone());
     let mut warnings: Vec<Warning> = Vec::new();
@@ -670,27 +770,26 @@ where
     let trace = obs.trace();
     let mut orch = trace.buffer(0);
 
-    let waves = build_waves(netlist);
-
-    // Committed groups live columnar: one contiguous plane per wave,
-    // per-node descriptors (see `group_store`). Worker threads read the
-    // planes through views; commits happen here between evaluations.
-    let mut groups = GroupStore::new(n);
     // One extractor per worker: extraction needs scratch buffers
     // (`&mut self`) but leaves no state behind, so pooled extractors
     // produce the same supergates as a single shared one.
     let mut extractors: Vec<SupergateExtractor> = (0..threads)
-        .map(|_| SupergateExtractor::new(netlist, supports, config.supergate_depth))
+        .map(|_| SupergateExtractor::new(netlist, &prep.supports, config.supergate_depth))
         .collect();
     // One evaluation scratch (kernel arena + conditioning state) per
-    // worker, reused across every node that worker evaluates.
-    let mut scratches: Vec<EvalScratch> = (0..threads).map(|_| EvalScratch::new()).collect();
+    // worker, reused across every node that worker evaluates — and, for
+    // a caller that keeps them, across passes.
+    if scratches.len() < threads {
+        scratches.resize_with(threads, EvalScratch::new);
+    }
+    let scratches = &mut scratches[..threads];
     for (i, s) in scratches.iter_mut().enumerate() {
         // A single-threaded run shares lane 0 so node spans nest under
         // their wave spans; parallel workers get lanes of their own.
         let lane = if threads <= 1 { 0 } else { i as u32 + 1 };
         s.dist.trace = trace.buffer(lane);
     }
+    let checkouts_start: u64 = scratches.iter().map(|s| s.dist.checkouts()).sum();
     // Workers evaluate supergates with the intra-region fan-out
     // (sensitivity ranking) pinned to one thread: the wave is already
     // saturating the cores, and the region result does not depend on its
@@ -699,9 +798,12 @@ where
         threads: 1,
         ..cfg.clone()
     };
+    let regions = pass.regions;
+    let cached = |node: NodeId| regions.and_then(|r| r[node.index()].as_ref());
 
+    let mut evaluated = 0;
     let mut work: Vec<NodeId> = Vec::new();
-    for (wi, wave) in waves.iter().enumerate() {
+    for (wi, wave) in prep.waves.iter().enumerate() {
         if faults::fires(faults::DEADLINE) {
             tracker.force_expire();
         }
@@ -711,20 +813,35 @@ where
         // so the caller still gets a complete, if coarse, analysis.
         if tracker.cancel_state() == CancelState::Abort {
             return Err(Cancelled {
-                phase: "propagate",
+                phase: if cold { "propagate" } else { "incremental" },
                 elapsed_ms: tracker.elapsed_ms(),
             }
             .into());
         }
         work.clear();
-        groups.begin_wave();
+        if cold {
+            groups.begin_wave();
+        }
         for &node in wave {
+            if pass.active.is_some_and(|a| !a[node.index()]) {
+                continue;
+            }
             if netlist.kind(node) == GateKind::Input {
-                groups.commit(node.index(), pi_group(node).as_view());
-            } else if is_active(node) {
+                let g = pi_group(node);
+                if cold {
+                    groups.commit(node.index(), g.as_view());
+                } else {
+                    groups.recommit(node.index(), g.as_view());
+                }
+                if let Some(records) = pass.records.as_deref_mut() {
+                    records[node.index()] = NodeRecord::default();
+                }
+                evaluated += 1;
+            } else if pass.delta.as_ref().is_none_or(|p| p.must_eval(node)) {
                 work.push(node);
             }
         }
+        evaluated += work.len();
         waves_counter.inc();
         wave_width.record(work.len() as f64);
         if work.is_empty() {
@@ -744,27 +861,20 @@ where
             for &node in &work {
                 let extractor = &mut extractors[0];
                 let scratch = &mut scratches[0];
-                let r = catch_unwind(AssertUnwindSafe(|| {
+                let r = caught(netlist, node, || {
                     eval_one(
                         netlist,
-                        arcs,
-                        supports,
+                        prep,
                         eval,
                         &cfg,
                         &tracker,
                         extractor,
                         scratch,
-                        &groups,
+                        groups,
                         node,
-                        None,
+                        cached(node),
                         Some(obs),
                     )
-                }))
-                .unwrap_or_else(|p| {
-                    Err(AnalysisError::WorkerPanic {
-                        node: netlist.node_name(node).to_owned(),
-                        detail: panic_detail(p.as_ref()),
-                    })
                 })
                 .map_err(PepError::Analysis)?;
                 commit(
@@ -773,7 +883,8 @@ where
                     &tracker,
                     obs,
                     &mut warnings,
-                    &mut groups,
+                    &mut pass,
+                    groups,
                     node,
                     r,
                 )?;
@@ -799,18 +910,18 @@ where
                     .enumerate()
                 {
                     let work = &work;
-                    let groups = &groups;
+                    let groups = &*groups;
                     let worker_cfg = &worker_cfg;
                     let tracker = &tracker;
+                    let cached = &cached;
                     handles.push(scope.spawn(move || {
                         let mut out: Vec<(usize, Result<NodeResult, AnalysisError>)> = Vec::new();
                         let mut i = t;
                         while i < work.len() {
-                            let r = catch_unwind(AssertUnwindSafe(|| {
+                            let r = caught(netlist, work[i], || {
                                 eval_one(
                                     netlist,
-                                    arcs,
-                                    supports,
+                                    prep,
                                     eval,
                                     worker_cfg,
                                     tracker,
@@ -818,15 +929,9 @@ where
                                     &mut *scratch,
                                     groups,
                                     work[i],
-                                    None,
+                                    cached(work[i]),
                                     None,
                                 )
-                            }))
-                            .unwrap_or_else(|p| {
-                                Err(AnalysisError::WorkerPanic {
-                                    node: netlist.node_name(work[i]).to_owned(),
-                                    detail: panic_detail(p.as_ref()),
-                                })
                             });
                             let failed = r.is_err();
                             out.push((i, r));
@@ -865,7 +970,8 @@ where
                     &tracker,
                     obs,
                     &mut warnings,
-                    &mut groups,
+                    &mut pass,
+                    groups,
                     node,
                     r,
                 )?;
@@ -890,7 +996,7 @@ where
         // re-truncate every committed group. Group sizes are
         // bit-identical across thread counts, so this trips — and
         // degrades — identically for any thread layout.
-        if let Some(byte_cap) = tracker.max_event_bytes() {
+        if let Some(byte_cap) = tracker.max_event_bytes().filter(|_| cold) {
             if mem_escalations < MAX_MEM_ESCALATIONS {
                 let bytes = groups.live_bytes();
                 if bytes > byte_cap {
@@ -910,7 +1016,7 @@ where
                     let after = groups.live_bytes();
                     mem_escalations += 1;
                     let w = Warning::new(
-                        "budget.memory",
+                        MEMORY_WARNING,
                         format!("wave:{wi}"),
                         "min_event_prob",
                         format!(
@@ -921,17 +1027,24 @@ where
                          groups renormalized",
                     );
                     obs.warn(w.clone());
+                    // Filed under the wave's last committed node, a
+                    // retained analysis replays it in commit order.
+                    if let (Some(records), Some(last)) = (pass.records.as_deref_mut(), work.last())
+                    {
+                        records[last.index()].warnings.push(w.clone());
+                    }
                     warnings.push(w);
                 }
             }
         }
     }
-    // Arena accounting: `pep.alloc.checkouts` is the total number of
-    // scratch-distribution checkouts (summed over workers — each node's
-    // kernel sequence is deterministic, so the sum does not depend on the
-    // thread count for the pinned worker configs the drivers use).
-    // `pep.alloc.slab_high_water` is the deepest any single worker's
-    // arena got; like `pep.threads` it reflects the thread layout.
+    // Arena accounting: `pep.alloc.checkouts` is the number of
+    // scratch-distribution checkouts this pass made (summed over
+    // workers — each node's kernel sequence is deterministic, so the sum
+    // does not depend on the thread count for the pinned worker configs
+    // the driver uses). `pep.alloc.slab_high_water` is the deepest any
+    // single worker's arena got; like `pep.threads` it reflects the
+    // thread layout.
     //
     // Before reading the arenas, flush every lane's buffered spans and
     // per-kernel aggregates into the trace collector, then fold the
@@ -960,7 +1073,8 @@ where
         .map(|s| s.dist.slab_high_water())
         .max()
         .unwrap_or(0);
-    obs.counter("pep.alloc.checkouts").add(checkouts);
+    obs.counter("pep.alloc.checkouts")
+        .add(checkouts - checkouts_start);
     obs.gauge("pep.alloc.slab_high_water")
         .set(high_water as f64);
     // Columnar-store accounting: live vs occupied separates resident
@@ -971,7 +1085,11 @@ where
     obs.gauge("pep.slab.live_slots").set(groups.live() as f64);
     obs.gauge("pep.slab.wave_high_water")
         .set(groups.high_water() as f64);
-    Ok((groups.into_groups(), metrics.stats_since(&base), warnings))
+    Ok(RunOutcome {
+        stats: metrics.stats_since(&base),
+        warnings,
+        evaluated,
+    })
 }
 
 #[cfg(test)]

@@ -9,13 +9,12 @@
 //! Fig. 5) and reconvergent fanout handled by the same supergate
 //! sampling-evaluation as the static mode.
 
-use crate::analyzer::{run, AnalysisStats};
-use crate::arcs::ArcPmfs;
+use crate::analyzer::{run, AnalysisStats, Pass, Prepared};
+use crate::group_store::GroupStore;
 use crate::node_eval::DynamicEval;
 use crate::AnalysisConfig;
 use pep_celllib::Timing;
 use pep_dist::{DiscreteDist, TimeStep};
-use pep_netlist::cone::SupportSets;
 use pep_netlist::{Netlist, NodeId};
 use pep_obs::{Session, Warning};
 use pep_sta::transition::{simulate_transition, TransitionSim};
@@ -128,51 +127,29 @@ pub fn analyze_transition(
     v2: &[bool],
     config: &AnalysisConfig,
 ) -> DynamicAnalysis {
-    analyze_transition_observed(netlist, timing, v1, v2, config, &Session::disabled())
+    // invariant: without a fail-fast budget or injected fault the
+    // engine degrades instead of erroring; any Err here is a real bug.
+    try_analyze_transition_cancellable(
+        netlist,
+        timing,
+        v1,
+        v2,
+        config,
+        &Session::disabled(),
+        &CancelToken::new(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`analyze_transition`], returning a typed [`PepError`] instead of
 /// panicking on engine failures (worker panics are caught; `fail_fast`
-/// budgets surface as [`PepError::Budget`]).
+/// budgets surface as [`PepError::Budget`]) and recording phases and
+/// metrics into `obs`.
 ///
 /// # Panics
 ///
 /// Panics if the vectors' lengths differ from the primary input count
 /// (a caller contract, not a runtime failure).
-pub fn try_analyze_transition(
-    netlist: &Netlist,
-    timing: &Timing,
-    v1: &[bool],
-    v2: &[bool],
-    config: &AnalysisConfig,
-) -> Result<DynamicAnalysis, PepError> {
-    try_analyze_transition_observed(netlist, timing, v1, v2, config, &Session::disabled())
-}
-
-/// [`analyze_transition`], recording phases and metrics into `obs`.
-///
-/// # Panics
-///
-/// Panics if the vectors' lengths differ from the primary input count.
-pub fn analyze_transition_observed(
-    netlist: &Netlist,
-    timing: &Timing,
-    v1: &[bool],
-    v2: &[bool],
-    config: &AnalysisConfig,
-    obs: &Session,
-) -> DynamicAnalysis {
-    // invariant: without a fail-fast budget or injected fault the
-    // engine degrades instead of erroring; any Err here is a real bug.
-    try_analyze_transition_observed(netlist, timing, v1, v2, config, obs)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`try_analyze_transition`], recording phases and metrics into `obs`.
-///
-/// # Panics
-///
-/// Panics if the vectors' lengths differ from the primary input count.
 pub fn try_analyze_transition_observed(
     netlist: &Netlist,
     timing: &Timing,
@@ -202,19 +179,7 @@ pub fn try_analyze_transition_cancellable(
     obs: &Session,
     cancel: &CancelToken,
 ) -> Result<DynamicAnalysis, PepError> {
-    let config = &config.validated();
-    let step = config
-        .step_override
-        .unwrap_or_else(|| timing.step_for_samples(config.samples));
-    obs.gauge("pep.time_step").set(step.size());
-    let arcs = {
-        let _phase = obs.phase("arc-pmf-build");
-        ArcPmfs::discretize_all(netlist, timing, step)
-    };
-    let supports = {
-        let _phase = obs.phase("levelize");
-        SupportSets::compute(netlist)
-    };
+    let prep = Prepared::new(netlist, timing, config, obs);
     // The transition pattern (who switches, which way) is delay-free;
     // nominal delays are only used to satisfy the simulator's interface.
     let sim = {
@@ -223,32 +188,33 @@ pub fn try_analyze_transition_cancellable(
     };
     let eval = DynamicEval {
         netlist,
-        arcs: &arcs,
+        arcs: &prep.arcs,
         sim: &sim,
     };
-    let (groups, stats, warnings) = run(
+    // Only switching nodes carry events; the rest keep an empty group.
+    let active: Vec<bool> = netlist.node_ids().map(|n| sim.transitions(n)).collect();
+    let mut groups = GroupStore::new(netlist.node_count());
+    let pass = Pass {
+        active: Some(&active),
+        ..Pass::default()
+    };
+    let out = run(
         netlist,
-        &arcs,
-        &supports,
+        &prep,
         &eval,
-        config,
-        |pi| {
-            if sim.transitions(pi) {
-                DiscreteDist::point(0)
-            } else {
-                DiscreteDist::empty()
-            }
-        },
-        |node| sim.transitions(node),
+        &|_| DiscreteDist::point(0),
+        pass,
+        &mut groups,
+        &mut Vec::new(),
         obs,
         cancel,
     )?;
     Ok(DynamicAnalysis {
-        step,
-        groups,
+        step: prep.step,
+        groups: groups.into_groups(),
         sim,
-        stats,
-        warnings,
+        stats: out.stats,
+        warnings: out.warnings,
     })
 }
 

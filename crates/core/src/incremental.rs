@@ -20,8 +20,9 @@
 //! netlist at the same pinned time step, for every thread count. The
 //! pieces that make this hold:
 //!
-//! - the wave schedule is shared with the cold driver
-//!   ([`build_waves`]), and commits happen in wave order on the
+//! - the cold build and every delta replay run `analyze`'s own wave
+//!   driver ([`run`]) — a delta pass is the same wave schedule over the
+//!   dirty subset — and commits happen in wave order on the
 //!   orchestration thread;
 //! - the discretization step is pinned at construction
 //!   (`step_override`), so a delta cannot shift the grid;
@@ -34,28 +35,25 @@
 //! `max_event_bytes` memory ladder) depend on *global* run history, so
 //! a delta run neither replays the ladder nor pretends to: configs that
 //! rely on them get best-effort incremental answers, and the ladder is
-//! simply not applied mid-delta (the base groups already reflect any
-//! cold-run escalation).
+//! simply not applied mid-delta. The base groups already reflect any
+//! escalation, because the cold build is the one-shot cold pass, ladder
+//! included; each `budget.memory` warning is kept on the record of the
+//! last node its wave committed and survives that node's
+//! re-evaluation.
 
-use crate::analyzer::{
-    build_waves, eval_one, record_result, AnalysisStats, NodeResult, PepAnalysis, RunMetrics,
-};
-use crate::arcs::ArcPmfs;
-use crate::budget::BudgetTracker;
+use crate::analyzer::{cold_pass, run, AnalysisStats, Pass, PepAnalysis, Prepared};
 use crate::cell_eval::combine_latest;
 use crate::group_store::GroupStore;
 use crate::node_eval::StaticEval;
 use crate::region::{CachedRegion, EvalScratch, RegionScaffold};
 use crate::AnalysisConfig;
 use pep_celllib::Timing;
-use pep_dist::{ContinuousDist, DiscreteDist, SlabDesc, TimeStep};
+use pep_dist::{ContinuousDist, DiscreteDist, DistView, SlabDesc, TimeStep};
 use pep_netlist::cone::{fanout_cone, SupportSets};
 use pep_netlist::supergate::SupergateExtractor;
 use pep_netlist::{GateKind, Netlist, NodeId};
 use pep_obs::{Session, Warning};
-use pep_sta::error::panic_detail;
-use pep_sta::{AnalysisError, CancelState, CancelToken, Cancelled, PepError};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use pep_sta::{AnalysisError, CancelToken, PepError};
 use std::time::Instant;
 
 /// Compact the delta planes once this many have stacked up without a
@@ -126,12 +124,9 @@ pub struct DeltaReport {
 
 /// Per-node slice of the run counters, retained so a delta run can
 /// rebuild exact whole-run [`AnalysisStats`] and ordered warnings
-/// without touching clean nodes.
-#[derive(Debug, Clone, Default)]
-struct NodeRecord {
-    stats: AnalysisStats,
-    warnings: Vec<Warning>,
-}
+/// without touching clean nodes. The retained form is its own portable
+/// export.
+pub(crate) type NodeRecord = NodeRecordExport;
 
 /// Portable per-node slice of a retained base: the node's share of the
 /// whole-run [`AnalysisStats`] and its ordered warnings.
@@ -154,20 +149,6 @@ pub struct RetainedBase {
     pub groups: Vec<Option<DiscreteDist>>,
     /// Per-node records, indexed like `groups`.
     pub records: Vec<NodeRecordExport>,
-}
-
-fn node_stats(r: &NodeResult) -> AnalysisStats {
-    let mut s = AnalysisStats {
-        dropped_mass: r.dropped_mass,
-        ..AnalysisStats::default()
-    };
-    if let Some((_, outcome)) = &r.supergate {
-        s.supergates = 1;
-        s.stems_conditioned = outcome.stems_conditioned;
-        s.stems_filtered = outcome.stems_filtered;
-        s.hybrid_evaluations = outcome.used_hybrid as usize;
-    }
-    s
 }
 
 fn invalid(detail: String) -> PepError {
@@ -206,11 +187,9 @@ pub struct IncrementalAnalyzer {
     netlist: Netlist,
     base_timing: Timing,
     timing: Timing,
-    config: AnalysisConfig,
-    step: TimeStep,
-    arcs: ArcPmfs,
-    supports: SupportSets,
-    waves: Vec<Vec<NodeId>>,
+    /// The pinned config, the arcs (re-discretized per delta), the
+    /// support sets and the wave schedule.
+    prep: Prepared,
     store: GroupStore,
     base_wave_of: Vec<u32>,
     base_descs: Vec<SlabDesc>,
@@ -270,66 +249,51 @@ impl IncrementalAnalyzer {
         config: &AnalysisConfig,
         obs: &Session,
     ) -> Result<Self, PepError> {
-        let mut config = config.validated();
-        let step = config
-            .step_override
-            .unwrap_or_else(|| timing.step_for_samples(config.samples));
-        config.step_override = Some(step);
-        obs.gauge("pep.time_step").set(step.size());
-        let arcs = {
-            let _phase = obs.phase("arc-pmf-build");
-            ArcPmfs::discretize_all(netlist, timing, step)
-        };
-        let supports = {
-            let _phase = obs.phase("levelize");
-            SupportSets::compute(netlist)
-        };
-        let waves = build_waves(netlist);
-        let n = netlist.node_count();
-        let mut store = GroupStore::new(n);
-        let mut records = vec![NodeRecord::default(); n];
-        let mut scratches: Vec<EvalScratch> = Vec::new();
-        {
-            let _phase = obs.phase("propagate");
-            run_schedule(
-                netlist,
-                &arcs,
-                &supports,
-                &config,
-                &waves,
-                None,
-                None,
-                None,
-                &|_| DiscreteDist::point(0),
-                &mut store,
-                &mut records,
-                &mut scratches,
-                false,
-                obs,
-                &CancelToken::new(),
-            )?;
-        }
+        let mut records = vec![NodeRecord::default(); netlist.node_count()];
+        let mut scratches = Vec::new();
+        let (prep, mut store, _) = cold_pass(
+            netlist,
+            timing,
+            config,
+            &|_| DiscreteDist::point(0),
+            Some(&mut records),
+            &mut scratches,
+            obs,
+            &CancelToken::new(),
+        )?;
         store.retain_for_incremental();
+        Ok(Self::assemble(
+            netlist, timing, prep, store, records, scratches, obs,
+        ))
+    }
+
+    /// The one constructor body: snapshots the base and builds the
+    /// region index around already-committed groups and records.
+    fn assemble(
+        netlist: &Netlist,
+        timing: &Timing,
+        prep: Prepared,
+        store: GroupStore,
+        records: Vec<NodeRecord>,
+        scratches: Vec<EvalScratch>,
+        obs: &Session,
+    ) -> Self {
+        let n = netlist.node_count();
         let (base_wave_of, base_descs) = store.snapshot();
-        let base_records = records.clone();
         let (read_sets, regions) = {
             let _phase = obs.phase("region-index");
-            build_region_index(netlist, &supports, &config)
+            build_region_index(netlist, &prep.supports, &prep.config)
         };
-        Ok(IncrementalAnalyzer {
+        IncrementalAnalyzer {
             netlist: netlist.clone(),
             base_timing: timing.clone(),
             timing: timing.clone(),
-            config,
-            step,
-            arcs,
-            supports,
-            waves,
+            prep,
             store,
             base_wave_of,
             base_descs,
+            base_records: records.clone(),
             records,
-            base_records,
             read_sets,
             regions,
             active: vec![false; n],
@@ -341,7 +305,7 @@ impl IncrementalAnalyzer {
             touched_pis: Vec::new(),
             scratches,
             deltas_applied: 0,
-        })
+        }
     }
 
     /// Exports the retained base — per-node committed groups and
@@ -354,14 +318,7 @@ impl IncrementalAnalyzer {
     pub fn export_base(&self) -> RetainedBase {
         RetainedBase {
             groups: self.store.export_with(&self.base_wave_of, &self.base_descs),
-            records: self
-                .base_records
-                .iter()
-                .map(|r| NodeRecordExport {
-                    stats: r.stats,
-                    warnings: r.warnings.clone(),
-                })
-                .collect(),
+            records: self.base_records.clone(),
         }
     }
 
@@ -395,52 +352,16 @@ impl IncrementalAnalyzer {
                 n
             )));
         }
-        let mut config = config.validated();
-        let step = config
-            .step_override
-            .unwrap_or_else(|| timing.step_for_samples(config.samples));
-        config.step_override = Some(step);
-        let arcs = ArcPmfs::discretize_all(netlist, timing, step);
-        let supports = SupportSets::compute(netlist);
-        let waves = build_waves(netlist);
-        let store = GroupStore::import_base(&base.groups);
-        let (base_wave_of, base_descs) = store.snapshot();
-        let records: Vec<NodeRecord> = base
-            .records
-            .iter()
-            .map(|r| NodeRecord {
-                stats: r.stats,
-                warnings: r.warnings.clone(),
-            })
-            .collect();
-        let base_records = records.clone();
-        let (read_sets, regions) = build_region_index(netlist, &supports, &config);
-        Ok(IncrementalAnalyzer {
-            netlist: netlist.clone(),
-            base_timing: timing.clone(),
-            timing: timing.clone(),
-            config,
-            step,
-            arcs,
-            supports,
-            waves,
-            store,
-            base_wave_of,
-            base_descs,
-            records,
-            base_records,
-            read_sets,
-            regions,
-            active: vec![false; n],
-            changed: vec![false; n],
-            dirty_since_base: vec![false; n],
-            dirty_list: Vec::new(),
-            touched_gates: Vec::new(),
-            pi_overrides: vec![None; n],
-            touched_pis: Vec::new(),
-            scratches: Vec::new(),
-            deltas_applied: 0,
-        })
+        let obs = Session::disabled();
+        Ok(Self::assemble(
+            netlist,
+            timing,
+            Prepared::new(netlist, timing, config, &obs),
+            GroupStore::import_base(&base.groups),
+            base.records.clone(),
+            Vec::new(),
+            &obs,
+        ))
     }
 
     /// Applies one what-if delta: mutates the timing model, marks the
@@ -503,7 +424,8 @@ impl IncrementalAnalyzer {
                 let d = *d;
                 self.timing.set_cell_delay(g, d);
             }
-            self.arcs
+            self.prep
+                .arcs
                 .rediscretize_gate(&self.netlist, &self.base_timing, g);
         }
         for p in std::mem::take(&mut self.touched_pis) {
@@ -522,7 +444,9 @@ impl IncrementalAnalyzer {
                 let g = *gate;
                 self.check_gate(g)?;
                 self.timing.set_cell_delay(g, *delay);
-                self.arcs.rediscretize_gate(&self.netlist, &self.timing, g);
+                self.prep
+                    .arcs
+                    .rediscretize_gate(&self.netlist, &self.timing, g);
                 self.note_touched_gate(g);
                 Ok(g)
             }
@@ -532,7 +456,9 @@ impl IncrementalAnalyzer {
                 self.timing
                     .scale_cell(g, *factor)
                     .map_err(|e| invalid(format!("scale factor {factor} rejected: {e}")))?;
-                self.arcs.rediscretize_gate(&self.netlist, &self.timing, g);
+                self.prep
+                    .arcs
+                    .rediscretize_gate(&self.netlist, &self.timing, g);
                 self.note_touched_gate(g);
                 Ok(g)
             }
@@ -615,11 +541,10 @@ impl IncrementalAnalyzer {
         // verbatim).
         self.changed.fill(false);
         self.changed[root.index()] = true;
-        let mut prune = Prune {
+        let prune = Prune {
             read_sets: &self.read_sets,
             changed: &mut self.changed,
             root,
-            evaluated: 0,
         };
         // One delta plane for the whole run; recommits land there in
         // wave order. Views handed to workers point into strictly
@@ -631,24 +556,28 @@ impl IncrementalAnalyzer {
                 .clone()
                 .unwrap_or_else(|| DiscreteDist::point(0))
         };
-        run_schedule(
+        let eval = StaticEval {
+            arcs: &self.prep.arcs,
+            mode: self.prep.config.mode,
+        };
+        let pass = Pass {
+            active: Some(&self.active),
+            regions: Some(&self.regions),
+            records: Some(&mut self.records),
+            delta: Some(prune),
+        };
+        let out = run(
             &self.netlist,
-            &self.arcs,
-            &self.supports,
-            &self.config,
-            &self.waves,
-            Some(&self.active),
-            Some(&mut prune),
-            Some(&self.regions),
+            &self.prep,
+            &eval,
             &pi,
+            pass,
             &mut self.store,
-            &mut self.records,
             &mut self.scratches,
-            true,
             obs,
             cancel,
         )?;
-        let dirty_nodes = prune.evaluated;
+        let dirty_nodes = out.evaluated;
         let replayed_nodes = self.netlist.node_count() - dirty_nodes;
         obs.counter("pep.incr.deltas").inc();
         obs.counter("pep.incr.dirty_nodes").add(dirty_nodes as u64);
@@ -688,7 +617,7 @@ impl IncrementalAnalyzer {
         let mut warnings = Vec::new();
         // Wave order is commit order, so the float accumulation below
         // replays the cold run's `dropped_mass` sum term for term.
-        for wave in &self.waves {
+        for wave in &self.prep.waves {
             for &node in wave {
                 let rec = &self.records[node.index()];
                 stats.supergates += rec.stats.supergates;
@@ -699,7 +628,7 @@ impl IncrementalAnalyzer {
                 warnings.extend(rec.warnings.iter().cloned());
             }
         }
-        PepAnalysis::from_parts(self.step, groups, stats, warnings)
+        PepAnalysis::from_parts(self.prep.step, groups, stats, warnings)
     }
 
     /// The committed arrival-time event group at a node (owned copy of
@@ -739,12 +668,12 @@ impl IncrementalAnalyzer {
 
     /// The validated configuration, with the step pinned.
     pub fn config(&self) -> &AnalysisConfig {
-        &self.config
+        &self.prep.config
     }
 
     /// The pinned discretization step.
     pub fn step(&self) -> TimeStep {
-        self.step
+        self.prep.step
     }
 
     /// Nodes whose committed group may differ from the base snapshot
@@ -784,14 +713,6 @@ impl IncrementalAnalyzer {
     }
 }
 
-/// The wave driver shared by the cold-build and delta paths of the
-/// incremental engine. Differences from the one-shot
-/// [`run`](crate::analyzer::run): groups land in a caller-owned
-/// [`GroupStore`] (commit per wave plane on the cold pass, recommit
-/// into one delta plane on the delta pass), per-node stats and warnings
-/// are retained in `records`, and the `max_event_bytes` memory ladder
-/// is not applied (its escalation depends on whole-run history, which a
-/// dirty-cone replay does not have).
 /// Per-node read sets for change pruning: the nodes whose committed
 /// groups `eval_one` consults when evaluating each node. Reconvergent
 /// nodes read their whole supergate region (frontier inputs, and the
@@ -838,7 +759,7 @@ fn build_region_index(
 /// Bitwise group equality — the only comparison compatible with the
 /// engine's bit-identity contract (an epsilon here would let unequal
 /// states masquerade as converged and diverge from a cold run).
-fn views_bits_equal(a: pep_dist::DistView<'_>, b: pep_dist::DistView<'_>) -> bool {
+fn views_bits_equal(a: DistView<'_>, b: DistView<'_>) -> bool {
     if a.is_empty() || b.is_empty() {
         return a.is_empty() && b.is_empty();
     }
@@ -857,308 +778,39 @@ fn views_bits_equal(a: pep_dist::DistView<'_>, b: pep_dist::DistView<'_>) -> boo
 /// masked the shifted arc), its whole downstream stops re-evaluating
 /// and the cached state stands, which is exactly what a cold run would
 /// have recomputed.
-struct Prune<'a> {
+pub(crate) struct Prune<'a> {
     read_sets: &'a [Vec<NodeId>],
     changed: &'a mut [bool],
     /// The delta root: always re-evaluated (its arc or arrival changed,
     /// which no group comparison can see).
     root: NodeId,
-    /// Nodes actually re-evaluated this run.
-    evaluated: usize,
 }
 
 impl Prune<'_> {
-    fn must_eval(&self, node: NodeId) -> bool {
+    pub(crate) fn must_eval(&self, node: NodeId) -> bool {
         node == self.root
             || self.read_sets[node.index()]
                 .iter()
                 .any(|&d| self.changed[d.index()])
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn run_schedule(
-    netlist: &Netlist,
-    arcs: &ArcPmfs,
-    supports: &SupportSets,
-    config: &AnalysisConfig,
-    waves: &[Vec<NodeId>],
-    active: Option<&[bool]>,
-    mut prune: Option<&mut Prune<'_>>,
-    regions: Option<&[Option<CachedRegion>]>,
-    pi_group: &dyn Fn(NodeId) -> DiscreteDist,
-    store: &mut GroupStore,
-    records: &mut [NodeRecord],
-    scratches: &mut Vec<EvalScratch>,
-    delta_mode: bool,
-    obs: &Session,
-    cancel: &CancelToken,
-) -> Result<(), PepError> {
-    let metrics = RunMetrics::resolve(obs);
-    let threads = config.effective_threads();
-    let tracker = BudgetTracker::with_cancel(config.budget.as_ref(), cancel.clone());
-    let eval = StaticEval {
-        arcs,
-        mode: config.mode,
-    };
-    let trace = obs.trace();
-    if scratches.len() < threads {
-        scratches.resize_with(threads, EvalScratch::new);
+    /// Whether `node`'s recomputed group differs bit for bit from the
+    /// committed one, marking the node changed if so. An unchanged group
+    /// needs no new slot and (unless this is the delta root, pre-marked
+    /// changed for its arc) stops the change from propagating further
+    /// downstream.
+    pub(crate) fn differs(
+        &mut self,
+        committed: DistView<'_>,
+        node: NodeId,
+        group: DistView<'_>,
+    ) -> bool {
+        if views_bits_equal(committed, group) {
+            return false;
+        }
+        self.changed[node.index()] = true;
+        true
     }
-    for (i, s) in scratches.iter_mut().enumerate().take(threads) {
-        let lane = if threads <= 1 { 0 } else { i as u32 + 1 };
-        s.dist.trace = trace.buffer(lane);
-    }
-    let checkouts_before: u64 = scratches
-        .iter()
-        .take(threads)
-        .map(|s| s.dist.checkouts())
-        .sum();
-    let mut extractors: Vec<SupergateExtractor> = (0..threads)
-        .map(|_| SupergateExtractor::new(netlist, supports, config.supergate_depth))
-        .collect();
-    let worker_cfg = AnalysisConfig {
-        threads: 1,
-        ..config.clone()
-    };
-    let is_active = |node: NodeId| active.is_none_or(|a| a[node.index()]);
-    let mut work: Vec<NodeId> = Vec::new();
-    for wave in waves {
-        if tracker.cancel_state() == CancelState::Abort {
-            return Err(Cancelled {
-                phase: "incremental",
-                elapsed_ms: tracker.elapsed_ms(),
-            }
-            .into());
-        }
-        work.clear();
-        if !delta_mode {
-            store.begin_wave();
-        }
-        for &node in wave {
-            if netlist.kind(node) == GateKind::Input {
-                if is_active(node) {
-                    let g = pi_group(node);
-                    if delta_mode {
-                        store.recommit(node.index(), g.as_view());
-                    } else {
-                        store.commit(node.index(), g.as_view());
-                    }
-                    records[node.index()] = NodeRecord::default();
-                    if let Some(p) = prune.as_deref_mut() {
-                        p.evaluated += 1;
-                    }
-                }
-            } else if is_active(node) && prune.as_deref().is_none_or(|p| p.must_eval(node)) {
-                work.push(node);
-            }
-        }
-        if let Some(p) = prune.as_deref_mut() {
-            p.evaluated += work.len();
-        }
-        if work.is_empty() {
-            continue;
-        }
-        if threads <= 1 || work.len() == 1 {
-            for &node in &work {
-                let extractor = &mut extractors[0];
-                let scratch = &mut scratches[0];
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    eval_one(
-                        netlist,
-                        arcs,
-                        supports,
-                        &eval,
-                        config,
-                        &tracker,
-                        extractor,
-                        scratch,
-                        store,
-                        node,
-                        regions.and_then(|r| r[node.index()].as_ref()),
-                        Some(obs),
-                    )
-                }))
-                .unwrap_or_else(|p| {
-                    Err(AnalysisError::WorkerPanic {
-                        node: netlist.node_name(node).to_owned(),
-                        detail: panic_detail(p.as_ref()),
-                    })
-                })
-                .map_err(PepError::Analysis)?;
-                commit_one(
-                    &metrics,
-                    netlist,
-                    &tracker,
-                    obs,
-                    store,
-                    records,
-                    delta_mode,
-                    prune.as_deref_mut(),
-                    node,
-                    r,
-                )?;
-            }
-        } else {
-            let workers = threads.min(work.len());
-            let mut results: Vec<Option<NodeResult>> = Vec::with_capacity(work.len());
-            results.resize_with(work.len(), || None);
-            // First failure by wave index wins — deterministic for any
-            // thread count, exactly like the cold driver.
-            let mut first_err: Option<(usize, AnalysisError)> = None;
-            let store_ref: &GroupStore = store;
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (t, (extractor, scratch)) in extractors
-                    .iter_mut()
-                    .zip(scratches.iter_mut())
-                    .take(workers)
-                    .enumerate()
-                {
-                    let work = &work;
-                    let worker_cfg = &worker_cfg;
-                    let tracker = &tracker;
-                    let eval = &eval;
-                    handles.push(scope.spawn(move || {
-                        let mut out: Vec<(usize, Result<NodeResult, AnalysisError>)> = Vec::new();
-                        let mut i = t;
-                        while i < work.len() {
-                            let r = catch_unwind(AssertUnwindSafe(|| {
-                                eval_one(
-                                    netlist,
-                                    arcs,
-                                    supports,
-                                    eval,
-                                    worker_cfg,
-                                    tracker,
-                                    &mut *extractor,
-                                    &mut *scratch,
-                                    store_ref,
-                                    work[i],
-                                    regions.and_then(|r| r[work[i].index()].as_ref()),
-                                    None,
-                                )
-                            }))
-                            .unwrap_or_else(|p| {
-                                Err(AnalysisError::WorkerPanic {
-                                    node: netlist.node_name(work[i]).to_owned(),
-                                    detail: panic_detail(p.as_ref()),
-                                })
-                            });
-                            let failed = r.is_err();
-                            out.push((i, r));
-                            if failed {
-                                break;
-                            }
-                            i += workers;
-                        }
-                        out
-                    }));
-                }
-                for h in handles {
-                    for (i, r) in h.join().expect("wave worker panicked") {
-                        match r {
-                            Ok(r) => results[i] = Some(r),
-                            Err(e) => {
-                                if first_err.as_ref().is_none_or(|(j, _)| i < *j) {
-                                    first_err = Some((i, e));
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-            if let Some((_, e)) = first_err {
-                return Err(PepError::Analysis(e));
-            }
-            for (i, &node) in work.iter().enumerate() {
-                let r = results[i].take().expect("every wave item evaluated");
-                commit_one(
-                    &metrics,
-                    netlist,
-                    &tracker,
-                    obs,
-                    store,
-                    records,
-                    delta_mode,
-                    prune.as_deref_mut(),
-                    node,
-                    r,
-                )?;
-            }
-        }
-    }
-    if trace.is_enabled() {
-        for s in scratches.iter_mut().take(threads) {
-            s.dist.trace.flush();
-        }
-        let aggs = trace.kernel_aggregates();
-        for kind in pep_obs::KernelKind::ALL {
-            let agg = &aggs[kind as usize];
-            if agg.calls == 0 {
-                continue;
-            }
-            let snap = agg.to_seconds_snapshot();
-            obs.log_histogram(&format!("pep.kernel.{}.seconds", kind.name()))
-                .merge_buckets(&snap.buckets, snap.sum, snap.count);
-        }
-    }
-    let checkouts: u64 = scratches
-        .iter()
-        .take(threads)
-        .map(|s| s.dist.checkouts())
-        .sum();
-    obs.counter("pep.alloc.checkouts")
-        .add(checkouts - checkouts_before);
-    let high_water = scratches
-        .iter()
-        .take(threads)
-        .map(|s| s.dist.slab_high_water())
-        .max()
-        .unwrap_or(0);
-    obs.gauge("pep.alloc.slab_high_water")
-        .set(high_water as f64);
-    Ok(())
-}
-
-/// Commit-time bookkeeping for one node: publish metrics and warnings
-/// (wave order), retain the per-node record, and write the group into
-/// the store.
-#[allow(clippy::too_many_arguments)]
-fn commit_one(
-    metrics: &RunMetrics,
-    netlist: &Netlist,
-    tracker: &BudgetTracker,
-    obs: &Session,
-    store: &mut GroupStore,
-    records: &mut [NodeRecord],
-    delta_mode: bool,
-    prune: Option<&mut Prune<'_>>,
-    node: NodeId,
-    r: NodeResult,
-) -> Result<(), PepError> {
-    let mut warnings: Vec<Warning> = Vec::new();
-    record_result(metrics, netlist, tracker, obs, &mut warnings, node, &r)?;
-    records[node.index()] = NodeRecord {
-        stats: node_stats(&r),
-        warnings,
-    };
-    if delta_mode {
-        // Change pruning: a recomputed group that is bit-identical to
-        // the committed one needs no new slot, and (unless this is the
-        // delta root, pre-marked changed for its arc) stops the change
-        // from propagating further downstream.
-        if let Some(p) = prune {
-            if views_bits_equal(store.view(node.index()), r.group.as_view()) {
-                return Ok(());
-            }
-            p.changed[node.index()] = true;
-        }
-        store.recommit(node.index(), r.group.as_view());
-    } else {
-        store.commit(node.index(), r.group.as_view());
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -63,10 +63,8 @@ mod region;
 pub mod validate;
 
 pub use analyzer::{
-    analyze, analyze_observed, analyze_with_inputs, analyze_with_inputs_observed, try_analyze,
-    try_analyze_cancellable, try_analyze_observed, try_analyze_with_inputs,
-    try_analyze_with_inputs_cancellable, try_analyze_with_inputs_observed, AnalysisStats,
-    PepAnalysis,
+    analyze, analyze_observed, analyze_with_inputs, try_analyze, try_analyze_cancellable,
+    try_analyze_observed, try_analyze_with_inputs_cancellable, AnalysisStats, PepAnalysis,
 };
 pub use arcs::ArcPmfs;
 pub use budget::Budget;

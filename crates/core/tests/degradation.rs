@@ -8,9 +8,11 @@
 //! dependent and only promise completion-with-warnings.
 
 use pep_celllib::{DelayModel, Timing};
-use pep_core::{analyze, try_analyze, AnalysisConfig, Budget, PepError};
+use pep_core::{
+    analyze, try_analyze, AnalysisConfig, Budget, Delta, IncrementalAnalyzer, PepAnalysis, PepError,
+};
 use pep_netlist::generate::{iscas_profile, random_circuit, IscasProfile, RandomCircuitSpec};
-use pep_netlist::Netlist;
+use pep_netlist::{GateKind, Netlist};
 
 /// Same reduced ISCAS-like generator as the determinism suite: hundreds
 /// of supergates across many waves, test-suite fast.
@@ -148,28 +150,73 @@ fn memory_budget_is_thread_invariant() {
         max_event_bytes: Some(16 << 10),
         ..Budget::default()
     };
-    let one = analyze(
-        &nl,
-        &timing,
-        &AnalysisConfig {
-            threads: 1,
-            budget: Some(budget.clone()),
-            ..AnalysisConfig::default()
-        },
+    let config = |threads: usize, fail_fast: bool| AnalysisConfig {
+        threads,
+        budget: Some(Budget {
+            fail_fast,
+            ..budget.clone()
+        }),
+        ..AnalysisConfig::default()
+    };
+    let one = analyze(&nl, &timing, &config(1, false));
+    assert!(
+        one.warnings().iter().any(|w| w.code == "budget.memory"),
+        "a 16 KiB event budget must trip: {:?}",
+        one.warnings()
     );
-    let four = analyze(
-        &nl,
-        &timing,
-        &AnalysisConfig {
-            threads: 4,
-            budget: Some(budget),
-            ..AnalysisConfig::default()
-        },
-    );
-    for id in nl.node_ids() {
-        assert_eq!(one.group(id), four.group(id));
+    for threads in [1usize, 2, 4] {
+        let cold = analyze(&nl, &timing, &config(threads, false));
+        // The incremental engine's cold build runs the same memory
+        // ladder, so its retained analysis matches the one-shot run.
+        let retained = IncrementalAnalyzer::new(&nl, &timing, &config(threads, false))
+            .expect("no fail-fast budget")
+            .analysis();
+        for id in nl.node_ids() {
+            assert_eq!(one.group(id), cold.group(id));
+            assert_eq!(
+                cold.group(id).to_bits(),
+                retained.group(id).to_bits(),
+                "incremental cold build differs at {id:?} (threads={threads})"
+            );
+        }
+        assert_eq!(one.warnings(), cold.warnings());
+        assert_eq!(cold.warnings(), retained.warnings(), "threads={threads}");
+        assert_eq!(cold.stats(), retained.stats(), "threads={threads}");
+        // And a fail-fast ladder trip fails both the same way.
+        let strict = config(threads, true);
+        assert!(matches!(
+            try_analyze(&nl, &timing, &strict),
+            Err(PepError::Budget(_))
+        ));
+        assert!(matches!(
+            IncrementalAnalyzer::new(&nl, &timing, &strict),
+            Err(PepError::Budget(_))
+        ));
     }
-    assert_eq!(one.warnings(), four.warnings());
+    // A retained ladder warning rides on the last gate its wave
+    // committed but describes the whole wave: a delta that re-evaluates
+    // that gate must not drop it.
+    let ladder = |a: &PepAnalysis| {
+        a.warnings()
+            .iter()
+            .filter(|w| w.code == "budget.memory")
+            .count()
+    };
+    let mut incr =
+        IncrementalAnalyzer::new(&nl, &timing, &config(1, false)).expect("no fail-fast budget");
+    for w in one.warnings().iter().filter(|w| w.code == "budget.memory") {
+        let wave: u32 = w.subject["wave:".len()..].parse().expect("wave subject");
+        let gate = *nl
+            .topo_order()
+            .iter()
+            .rev()
+            .find(|&&g| nl.level(g) == wave && nl.kind(g) != GateKind::Input)
+            .expect("a ladder wave commits gates");
+        incr.apply_delta(&Delta::ScaleCell { gate, factor: 1.0 })
+            .expect("valid delta");
+        assert_eq!(ladder(&incr.analysis()), ladder(&one), "{w}");
+        incr.revert();
+    }
 }
 
 #[test]
