@@ -1,4 +1,5 @@
 use crate::{DelayModel, DelayShape};
+use pep_dist::hash::sigma_key;
 use pep_dist::{ContinuousDist, TimeStep};
 use pep_netlist::{GateKind, Netlist, NodeId};
 use rand::rngs::StdRng;
@@ -59,7 +60,7 @@ impl Timing {
         for id in netlist.node_ids() {
             let fanins = netlist.fanins(id).len();
             let fanouts = netlist.fanout_count(id);
-            let mut rng = StdRng::seed_from_u64(model.seed() ^ fnv1a(netlist.node_name(id)));
+            let mut rng = StdRng::seed_from_u64(model.seed() ^ sigma_key(netlist.node_name(id)));
             let (cell_dist, sigma_frac) = if netlist.kind(id) == GateKind::Input {
                 (zero, rng.random_range(slo..=shi))
             } else {
@@ -111,7 +112,7 @@ impl Timing {
         for id in netlist.node_ids() {
             let fanins = netlist.fanins(id).len();
             let fanouts = netlist.fanout_count(id);
-            let mut rng = StdRng::seed_from_u64(seed ^ fnv1a(netlist.node_name(id)));
+            let mut rng = StdRng::seed_from_u64(seed ^ sigma_key(netlist.node_name(id)));
             let dist = if netlist.kind(id) == GateKind::Input {
                 // Keep the RNG stream aligned with `annotate`.
                 let _ = rng.random_range(0.0f64..=1.0);
@@ -247,16 +248,6 @@ impl Timing {
         TimeStep::new(total_width / count as f64 / n_samples as f64)
             .expect("positive width yields a positive step")
     }
-}
-
-/// FNV-1a hash of a node name, keying the per-cell σ draw.
-fn fnv1a(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 fn make_dist(shape: DelayShape, mean: f64, sigma: f64) -> ContinuousDist {

@@ -117,6 +117,17 @@ impl PepAnalysis {
         &self.warnings
     }
 
+    /// Content digest of every node's group, in node order (see
+    /// [`pep_dist::hash::group_hash`]): two analyses digest equal iff
+    /// their groups are bit-identical, up to hash collisions.
+    pub fn groups_digest(&self) -> u64 {
+        pep_dist::hash::fold_hashes(
+            self.groups
+                .iter()
+                .map(|g| pep_dist::hash::group_hash(g.as_view())),
+        )
+    }
+
     /// The circuit-delay distribution: the max-combine of all primary
     /// output groups.
     ///

@@ -78,9 +78,16 @@ impl GroupStore {
     /// committed).
     #[inline]
     pub fn view(&self, node: usize) -> DistView<'_> {
-        match self.wave_of[node] {
+        self.view_with(&self.wave_of, &self.descs, node)
+    }
+
+    /// The group at node index `node` under an external placement (the
+    /// retained base snapshot; see [`export_with`](Self::export_with)).
+    #[inline]
+    pub fn view_with(&self, wave_of: &[u32], descs: &[SlabDesc], node: usize) -> DistView<'_> {
+        match wave_of[node] {
             NO_WAVE => DistView::empty(),
-            wi => self.slabs[wi as usize].view(self.descs[node]),
+            wi => self.slabs[wi as usize].view(descs[node]),
         }
     }
 
@@ -271,12 +278,9 @@ impl GroupStore {
     /// stacked on top, because base planes are append-only. The serve
     /// layer persists this across restarts.
     pub fn export_with(&self, wave_of: &[u32], descs: &[SlabDesc]) -> Vec<Option<DiscreteDist>> {
-        wave_of
-            .iter()
-            .zip(descs)
-            .map(|(&wi, &d)| match wi {
-                NO_WAVE => None,
-                wi => Some(self.slabs[wi as usize].view(d).to_dist()),
+        (0..wave_of.len())
+            .map(|node| {
+                (wave_of[node] != NO_WAVE).then(|| self.view_with(wave_of, descs, node).to_dist())
             })
             .collect()
     }

@@ -48,6 +48,7 @@ use crate::node_eval::StaticEval;
 use crate::region::{CachedRegion, EvalScratch, RegionScaffold};
 use crate::AnalysisConfig;
 use pep_celllib::Timing;
+use pep_dist::hash::{fold_hashes, group_hash};
 use pep_dist::{ContinuousDist, DiscreteDist, DistView, SlabDesc, TimeStep};
 use pep_netlist::cone::{fanout_cone, SupportSets};
 use pep_netlist::supergate::SupergateExtractor;
@@ -220,6 +221,9 @@ pub struct IncrementalAnalyzer {
     /// Worker evaluation scratches, retained across queries so the
     /// kernel arenas stay warm.
     scratches: Vec<EvalScratch>,
+    /// [`group_hash`] of every base group, filled by the first
+    /// [`groups_digest`](Self::groups_digest) (empty until then).
+    base_hashes: Vec<u64>,
     deltas_applied: u64,
 }
 
@@ -304,6 +308,7 @@ impl IncrementalAnalyzer {
             pi_overrides: vec![None; n],
             touched_pis: Vec::new(),
             scratches,
+            base_hashes: Vec::new(),
             deltas_applied: 0,
         }
     }
@@ -608,11 +613,17 @@ impl IncrementalAnalyzer {
     /// bit-identical (groups, stats, ordered warnings) to a cold
     /// analysis of the mutated timing at the pinned step.
     pub fn analysis(&self) -> PepAnalysis {
-        let n = self.netlist.node_count();
-        let mut groups = Vec::with_capacity(n);
-        for i in 0..n {
-            groups.push(self.store.view(i).to_dist());
-        }
+        let groups = (0..self.netlist.node_count())
+            .map(|i| self.store.view(i).to_dist())
+            .collect();
+        let (stats, warnings) = self.stats_and_warnings();
+        PepAnalysis::from_parts(self.prep.step, groups, stats, warnings)
+    }
+
+    /// The whole-run stats and ordered warnings of the current state —
+    /// what [`analysis`](Self::analysis) reports, without copying any
+    /// group.
+    pub fn stats_and_warnings(&self) -> (AnalysisStats, Vec<Warning>) {
         let mut stats = AnalysisStats::default();
         let mut warnings = Vec::new();
         // Wave order is commit order, so the float accumulation below
@@ -628,7 +639,30 @@ impl IncrementalAnalyzer {
                 warnings.extend(rec.warnings.iter().cloned());
             }
         }
-        PepAnalysis::from_parts(self.prep.step, groups, stats, warnings)
+        (stats, warnings)
+    }
+
+    /// [`PepAnalysis::groups_digest`] of the current state, equal to
+    /// `self.analysis().groups_digest()` by construction: both fold the
+    /// same per-node [`group_hash`]es in node order. The base groups'
+    /// hashes are computed once, on the first call; after that a call
+    /// rehashes only the nodes dirtied since the base and allocates
+    /// nothing.
+    pub fn groups_digest(&mut self) -> u64 {
+        let n = self.netlist.node_count();
+        if self.base_hashes.len() != n {
+            let (store, wave_of, descs) = (&self.store, &self.base_wave_of, &self.base_descs);
+            self.base_hashes = (0..n)
+                .map(|i| group_hash(store.view_with(wave_of, descs, i)))
+                .collect();
+        }
+        fold_hashes((0..n).map(|i| {
+            if self.dirty_since_base[i] {
+                group_hash(self.store.view(i))
+            } else {
+                self.base_hashes[i]
+            }
+        }))
     }
 
     /// The committed arrival-time event group at a node (owned copy of
@@ -710,6 +744,7 @@ impl IncrementalAnalyzer {
             + (self.records.capacity() + self.base_records.capacity())
                 * std::mem::size_of::<NodeRecord>()
             + self.pi_overrides.capacity() * std::mem::size_of::<Option<DiscreteDist>>()
+            + self.base_hashes.capacity() * 8
     }
 }
 

@@ -3,11 +3,13 @@
 //! bit-identical (`to_bits`) to a cold analysis of the mutated timing
 //! model — at thread counts 1, 2 and 4, and including deltas that trip
 //! the per-supergate stem-budget degradation ladder (same ordered
-//! warnings).
+//! warnings). The cached groups digest agrees with the materialized and
+//! the cold one along delta chains, past plane compaction, after
+//! `revert` and across a retained-base round trip.
 
 use pep_celllib::{DelayModel, Timing};
 use pep_core::{
-    analyze_with_inputs, AnalysisConfig, Budget, Delta, IncrementalAnalyzer, PepAnalysis,
+    analyze, analyze_with_inputs, AnalysisConfig, Budget, Delta, IncrementalAnalyzer, PepAnalysis,
 };
 use pep_dist::{ContinuousDist, DiscreteDist};
 use pep_netlist::generate::{random_circuit, RandomCircuitSpec};
@@ -194,6 +196,124 @@ fn run_case(
     Ok(())
 }
 
+/// Deltas in a chain long enough to overflow the 64 delta planes the
+/// engine keeps before it compacts them.
+const LONG_CHAIN: usize = 70;
+
+/// `draws` cycled to `len` deltas; every other cycle inverts the scale
+/// factors, so a long chain keeps its delays in range.
+fn chain(draws: &[DeltaDraw], len: usize) -> Vec<DeltaDraw> {
+    (0..len)
+        .map(|i| match &draws[i % draws.len()] {
+            DeltaDraw::Scale { pick, factor } if (i / draws.len()) % 2 == 1 => DeltaDraw::Scale {
+                pick: *pick,
+                factor: 1.0 / factor,
+            },
+            d => d.clone(),
+        })
+        .collect()
+}
+
+/// `IncrementalAnalyzer::groups_digest` against the materialized and the
+/// cold digest at every step of `draws`, in lockstep with an analyzer
+/// rebuilt from the exported base (whose cache is first primed after a
+/// delta, not before), then after `revert` and one delta more.
+fn run_digest_case(
+    nl: &Netlist,
+    timing: &Timing,
+    draws: &[DeltaDraw],
+) -> Result<(), TestCaseError> {
+    let gates: Vec<NodeId> = nl
+        .node_ids()
+        .filter(|&n| nl.kind(n) != GateKind::Input)
+        .collect();
+    let pis: Vec<NodeId> = nl.primary_inputs().to_vec();
+    prop_assume!(!gates.is_empty() && !pis.is_empty());
+    for threads in [1usize, 2, 4] {
+        let config = AnalysisConfig {
+            threads,
+            ..AnalysisConfig::default()
+        };
+        let mut incr = IncrementalAnalyzer::new(nl, timing, &config).expect("no fail-fast budget");
+        let pinned = incr.config().clone();
+        let mut rebuilt =
+            IncrementalAnalyzer::from_retained_base(nl, timing, &pinned, &incr.export_base())
+                .expect("export matches its own netlist");
+        let base_digest = analyze(nl, timing, &pinned).groups_digest();
+        prop_assert_eq!(
+            incr.groups_digest(),
+            base_digest,
+            "threads={} base",
+            threads
+        );
+        let mut cold_timing = timing.clone();
+        let mut cold_arrivals: Vec<Option<DiscreteDist>> = vec![None; nl.node_count()];
+        for (di, draw) in draws.iter().enumerate() {
+            let delta = realize(nl, &gates, &pis, draw, &mut cold_timing, &mut cold_arrivals);
+            incr.apply_delta(&delta).expect("realized deltas are valid");
+            rebuilt
+                .apply_delta(&delta)
+                .expect("realized deltas are valid");
+            let digest = incr.groups_digest();
+            let cold = cold_reference(nl, &cold_timing, &pinned, &cold_arrivals);
+            prop_assert_eq!(
+                digest,
+                incr.analysis().groups_digest(),
+                "threads={} delta={}",
+                threads,
+                di
+            );
+            prop_assert_eq!(
+                digest,
+                cold.groups_digest(),
+                "threads={} delta={}",
+                threads,
+                di
+            );
+            prop_assert_eq!(
+                rebuilt.groups_digest(),
+                digest,
+                "threads={} delta={}",
+                threads,
+                di
+            );
+        }
+        incr.revert();
+        rebuilt.revert();
+        prop_assert_eq!(
+            incr.groups_digest(),
+            base_digest,
+            "threads={} revert",
+            threads
+        );
+        prop_assert_eq!(
+            rebuilt.groups_digest(),
+            base_digest,
+            "threads={} revert",
+            threads
+        );
+        let mut cold_timing = timing.clone();
+        let mut cold_arrivals: Vec<Option<DiscreteDist>> = vec![None; nl.node_count()];
+        let delta = realize(
+            nl,
+            &gates,
+            &pis,
+            &draws[0],
+            &mut cold_timing,
+            &mut cold_arrivals,
+        );
+        incr.apply_delta(&delta).expect("realized deltas are valid");
+        let cold = cold_reference(nl, &cold_timing, &pinned, &cold_arrivals);
+        prop_assert_eq!(
+            incr.groups_digest(),
+            cold.groups_digest(),
+            "threads={} after revert",
+            threads
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -230,5 +350,22 @@ proptest! {
             ..AnalysisConfig::default()
         };
         run_case(&nl, &timing, &config, &draws)?;
+    }
+
+    /// Random circuits, random delta chains (half of them past the
+    /// delta-plane compaction), thread counts 1/2/4: the cached digest
+    /// equals the materialized one, the cold one and a rebuilt
+    /// analyzer's at every step, and again after `revert`.
+    #[test]
+    fn cached_groups_digest_matches_materialized_and_cold(
+        spec in small_spec(),
+        model_seed in any::<u64>(),
+        draws in prop::collection::vec(delta_draw(), 1..4),
+        long in any::<bool>(),
+    ) {
+        let nl = random_circuit(&spec);
+        let timing = Timing::annotate(&nl, &DelayModel::dac2001(model_seed));
+        let len = if long { LONG_CHAIN } else { draws.len() };
+        run_digest_case(&nl, &timing, &chain(&draws, len))?;
     }
 }

@@ -118,4 +118,30 @@ fn steady_state_conditioning_does_not_allocate() {
             "warm re-analysis rep {i} grew the slab high-water mark"
         );
     }
+
+    // Delta responses: once an analyzer's base hashes are cached (the
+    // first digest), the digest after a warm delta rehashes the dirty
+    // nodes' slab views in place and allocates nothing.
+    use pep_celllib::{DelayModel, Timing};
+    use pep_core::{AnalysisConfig, Delta, IncrementalAnalyzer};
+    let nl = pep_netlist::samples::fig6();
+    let timing = Timing::annotate(&nl, &DelayModel::dac2001(7));
+    let mut incr = IncrementalAnalyzer::new(&nl, &timing, &AnalysisConfig::default())
+        .expect("no fail-fast budget");
+    let base = incr.groups_digest();
+    let gate = nl.node_id("s3").expect("fig6 gate");
+    for rep in 0..3 {
+        incr.apply_delta(&Delta::ScaleCell { gate, factor: 1.5 })
+            .expect("valid delta");
+        assert!(incr.dirty_count() > 0, "the delta dirtied its cone");
+        let before = allocations();
+        let digest = incr.groups_digest();
+        let delta = allocations() - before;
+        assert_eq!(
+            delta, 0,
+            "primed digest rep {rep} performed {delta} allocations"
+        );
+        assert_ne!(digest, base, "the digest sees the delta");
+        incr.revert();
+    }
 }

@@ -17,7 +17,8 @@
 //!   [`DiscreteDist::max`] combining operators (paper §2.3),
 //! * [`discretize`](fn@discretize) — pdf discretization (paper Fig. 2),
 //! * [`stats`] — running statistics, Student-t confidence bounds and the
-//!   paper's `M_e + 3σ_e` error metric (paper §4).
+//!   paper's `M_e + 3σ_e` error metric (paper §4),
+//! * [`hash`] — the workspace's FNV-1a and the event-group content hash.
 //!
 //! # Example
 //!
@@ -47,6 +48,7 @@ mod continuous;
 mod discrete;
 mod discretize;
 mod error;
+pub mod hash;
 pub mod kernels;
 pub mod naive;
 mod scratch;

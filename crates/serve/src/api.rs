@@ -8,8 +8,11 @@
 //! silently ignoring a typo'd knob. Responses use the derive — the
 //! server always populates every field.
 
-use pep_core::{AnalysisConfig, Budget, CombineMode, PepAnalysis};
-use pep_netlist::Netlist;
+use pep_core::{
+    AnalysisConfig, AnalysisStats, Budget, CombineMode, IncrementalAnalyzer, PepAnalysis,
+};
+use pep_dist::{DiscreteDist, TimeStep};
+use pep_netlist::{Netlist, NodeId};
 use pep_obs::{TraceLevel, Warning, WarningGroup};
 use serde::{Deserialize, Serialize, Value};
 
@@ -630,9 +633,10 @@ pub struct JobResult {
     pub stems_conditioned: u64,
     /// Per-primary-output arrival statistics.
     pub outputs: Vec<OutputStat>,
-    /// FNV-1a digest over every node's full arrival distribution —
-    /// bit-identical runs produce identical digests, so determinism is
-    /// checkable without shipping every group over the wire.
+    /// Content digest over every node's full arrival distribution
+    /// ([`PepAnalysis::groups_digest`]) — bit-identical runs produce
+    /// identical digests, so determinism is checkable without shipping
+    /// every group over the wire.
     pub groups_digest: String,
     /// Structured degradation warnings, in emission order.
     pub warnings: Vec<Warning>,
@@ -662,22 +666,63 @@ pub fn job_result(
     let outputs = netlist
         .primary_outputs()
         .iter()
-        .map(|&po| OutputStat {
-            name: netlist.node_name(po).to_owned(),
-            mean: analysis.mean_time(po),
-            std: analysis.std_time(po),
-            q99: analysis.quantile_time(po, 0.99).unwrap_or(0.0),
-        })
+        .map(|&po| output_stat(netlist, po, analysis.group(po), analysis.step()))
         .collect();
-    let warnings = analysis.warnings().to_vec();
+    assemble(
+        circuit,
+        netlist,
+        outputs,
+        analysis.stats(),
+        analysis.warnings().to_vec(),
+        analysis.groups_digest(),
+        elapsed_ms,
+    )
+}
+
+/// [`job_result`] of a retained analyzer's current state, without
+/// materializing the analysis: only the primary-output groups are
+/// copied, and the digest rehashes only the nodes dirtied since the
+/// base ([`IncrementalAnalyzer::groups_digest`]). Equal to
+/// `job_result(circuit, analyzer.netlist(), &analyzer.analysis(), 0)`;
+/// the caller stamps `elapsed_ms` once the reply is assembled.
+pub fn retained_result(circuit: &str, analyzer: &mut IncrementalAnalyzer) -> JobResult {
+    let digest = analyzer.groups_digest();
+    let netlist = analyzer.netlist();
+    let outputs = netlist
+        .primary_outputs()
+        .iter()
+        .map(|&po| output_stat(netlist, po, &analyzer.group(po), analyzer.step()))
+        .collect();
+    let (stats, warnings) = analyzer.stats_and_warnings();
+    assemble(circuit, netlist, outputs, &stats, warnings, digest, 0)
+}
+
+fn output_stat(netlist: &Netlist, po: NodeId, group: &DiscreteDist, step: TimeStep) -> OutputStat {
+    OutputStat {
+        name: netlist.node_name(po).to_owned(),
+        mean: group.mean_time(step),
+        std: group.std_time(step),
+        q99: group.quantile(0.99).map_or(0.0, |t| step.time_of(t)),
+    }
+}
+
+fn assemble(
+    circuit: &str,
+    netlist: &Netlist,
+    outputs: Vec<OutputStat>,
+    stats: &AnalysisStats,
+    warnings: Vec<Warning>,
+    digest: u64,
+    elapsed_ms: u64,
+) -> JobResult {
     let warning_groups = pep_obs::aggregate_warnings(&warnings);
     JobResult {
         circuit: circuit.to_owned(),
         nodes: netlist.node_count() as u64,
-        supergates: analysis.stats().supergates as u64,
-        stems_conditioned: analysis.stats().stems_conditioned as u64,
+        supergates: stats.supergates as u64,
+        stems_conditioned: stats.stems_conditioned as u64,
         outputs,
-        groups_digest: format!("{:016x}", groups_digest(netlist, analysis)),
+        groups_digest: format!("{digest:016x}"),
         warnings,
         warning_groups,
         elapsed_ms,
@@ -687,19 +732,10 @@ pub fn job_result(
     }
 }
 
-/// FNV-1a over every node's full distribution (tick and exact
-/// probability bits, in node order). Two analyses digest equal iff
-/// their groups are bit-identical.
-pub fn groups_digest(netlist: &Netlist, analysis: &PepAnalysis) -> u64 {
-    let mut hash = crate::cache::FNV_OFFSET;
-    for id in netlist.node_ids() {
-        hash = crate::cache::fnv1a_extend(hash, &(id.index() as u64).to_le_bytes());
-        for (tick, prob) in analysis.group(id).iter() {
-            hash = crate::cache::fnv1a_extend(hash, &tick.to_le_bytes());
-            hash = crate::cache::fnv1a_extend(hash, &prob.to_bits().to_le_bytes());
-        }
-    }
-    hash
+/// [`PepAnalysis::groups_digest`]; the netlist argument is unused (the
+/// analysis holds one group per node) and kept for existing callers.
+pub fn groups_digest(_netlist: &Netlist, analysis: &PepAnalysis) -> u64 {
+    analysis.groups_digest()
 }
 
 #[cfg(test)]
@@ -895,5 +931,22 @@ mod tests {
             job_result("c17", &nl, &c, 0).groups_digest,
             ra.groups_digest
         );
+    }
+
+    #[test]
+    fn retained_result_equals_the_materialized_one() {
+        use pep_celllib::{DelayModel, Timing};
+        let nl = pep_netlist::samples::fig6();
+        let t = Timing::annotate(&nl, &DelayModel::dac2001(3));
+        let mut incr = IncrementalAnalyzer::new(&nl, &t, &AnalysisConfig::default()).unwrap();
+        let gate = nl.node_id("s3").unwrap();
+        for factor in [None, Some(1.7), Some(0.6)] {
+            if let Some(factor) = factor {
+                incr.apply_delta(&pep_core::Delta::ScaleCell { gate, factor })
+                    .unwrap();
+            }
+            let full = job_result("fig6", &nl, &incr.analysis(), 0);
+            assert_eq!(retained_result("fig6", &mut incr), full, "{factor:?}");
+        }
     }
 }

@@ -16,23 +16,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// FNV-1a 64-bit offset basis.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Extends an FNV-1a hash with more bytes.
-pub fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// FNV-1a 64-bit of a byte string.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a_extend(FNV_OFFSET, bytes)
-}
+pub use pep_dist::hash::{fnv1a64, fnv1a_extend, FNV_OFFSET};
 
 /// A parsed-and-annotated circuit, shared between concurrent jobs.
 #[derive(Debug)]

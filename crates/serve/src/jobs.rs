@@ -9,7 +9,7 @@
 //! cancels everything still queued, gives running jobs a grace window,
 //! and only then escalates their tokens to abort.
 
-use crate::api::{job_result, AnalyzeRequest, JobResult, OverrideSpec, Work};
+use crate::api::{job_result, retained_result, AnalyzeRequest, JobResult, OverrideSpec, Work};
 use crate::cache::{CircuitCache, RetainedState, StateCache};
 use crate::journal::JobJournal;
 use crate::snapshot::SnapshotStore;
@@ -650,18 +650,19 @@ fn execute(
         );
         lock_recover(&progress).push(line);
     }));
-    let result = match &job.request.work {
-        Work::Full { circuit, retain } => execute_full(
-            cache, states, snapshots, job, &obs, circuit, *retain, started,
-        )?,
-        Work::Delta { base, overrides } => execute_delta(
-            cache, states, snapshots, job, &obs, *base, overrides, started,
-        )?,
+    let mut result = match &job.request.work {
+        Work::Full { circuit, retain } => {
+            execute_full(cache, states, snapshots, job, &obs, circuit, *retain)?
+        }
+        Work::Delta { base, overrides } => {
+            execute_delta(cache, states, snapshots, job, &obs, *base, overrides)?
+        }
     };
+    // Stamped after result assembly, so the job time covers it.
+    result.elapsed_ms = started.elapsed().as_millis() as u64;
     Ok((result, obs.report("serve-analyze")))
 }
 
-#[allow(clippy::too_many_arguments)] // internal plumbing mirrors the request shape
 fn execute_full(
     cache: &CircuitCache,
     states: &StateCache,
@@ -670,7 +671,6 @@ fn execute_full(
     obs: &Session,
     spec: &crate::api::CircuitSpec,
     retain: bool,
-    started: Instant,
 ) -> Result<JobResult, JobOutcomeErr> {
     let request = &job.request;
     let circuit = cache.get_or_parse(spec, request.seed).map_err(|e| {
@@ -692,14 +692,19 @@ fn execute_full(
         // Build the analysis *through* the incremental engine — the
         // cold build is bit-identical to `analyze` — and retain its
         // state so follow-up delta requests hit a warm cache.
-        let analyzer = IncrementalAnalyzer::new_observed(
+        let mut analyzer = IncrementalAnalyzer::new_observed(
             &circuit.netlist,
             &circuit.timing,
             &request.config,
             obs,
         )
         .map_err(map_engine_err)?;
-        let analysis = analyzer.analysis();
+        // Assembling the answer also primes the analyzer's cached base
+        // hashes, so `resident_bytes` below counts them.
+        let mut result = {
+            let _phase = obs.phase("result-assembly");
+            retained_result(spec.display_name(), &mut analyzer)
+        };
         let key = StateCache::key_for(circuit.key, analyzer.config());
         let bytes = analyzer.resident_bytes();
         let (_kept, evicted) = states.insert(
@@ -721,8 +726,6 @@ fn execute_full(
                 snapshots.save(state);
             }
         }
-        let elapsed_ms = started.elapsed().as_millis() as u64;
-        let mut result = job_result(spec.display_name(), &circuit.netlist, &analysis, elapsed_ms);
         result.base = Some(format!("{key:016x}"));
         Ok(result)
     } else {
@@ -734,17 +737,16 @@ fn execute_full(
             &job.cancel,
         )
         .map_err(map_engine_err)?;
-        let elapsed_ms = started.elapsed().as_millis() as u64;
+        let _phase = obs.phase("result-assembly");
         Ok(job_result(
             spec.display_name(),
             &circuit.netlist,
             &analysis,
-            elapsed_ms,
+            0,
         ))
     }
 }
 
-#[allow(clippy::too_many_arguments)] // internal plumbing mirrors the request shape
 fn execute_delta(
     cache: &CircuitCache,
     states: &StateCache,
@@ -753,7 +755,6 @@ fn execute_delta(
     obs: &Session,
     base: u64,
     overrides: &[OverrideSpec],
-    started: Instant,
 ) -> Result<JobResult, JobOutcomeErr> {
     // Miss in the in-memory cache → try the snapshot store before
     // giving up: a restarted (or eviction-pressured) shard rehydrates
@@ -787,9 +788,10 @@ fn execute_delta(
     // whatever happens below, put it back that way before returning.
     let outcome = apply_overrides(&mut analyzer, obs, &job.cancel, overrides);
     let result = outcome.map(|dirty_nodes| {
-        let analysis = analyzer.analysis();
-        let elapsed_ms = started.elapsed().as_millis() as u64;
-        let mut result = job_result(&state.circuit, analyzer.netlist(), &analysis, elapsed_ms);
+        let mut result = {
+            let _phase = obs.phase("result-assembly");
+            retained_result(&state.circuit, &mut analyzer)
+        };
         result.incremental = true;
         result.base = Some(format!("{base:016x}"));
         result.dirty_nodes = Some(dirty_nodes);

@@ -40,6 +40,7 @@ use crate::journal::RecordLog;
 use crate::reactor::{Dispatch, Handler, Lifecycle, Reactor, ReactorConfig, ReactorShared, Token};
 use crate::server::parse_job_path;
 use pep_core::faults;
+use pep_dist::hash::mix64;
 use pep_obs::{PromWriter, RunReport, Warning};
 use pep_sta::cancel::{signal_state, CancelState};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -245,18 +246,6 @@ struct Ring {
     n_shards: usize,
 }
 
-/// 64-bit avalanche finalizer (murmur3's fmix64): FNV alone clusters
-/// badly on short, similar inputs like `host:port` + a counter, which
-/// skews vnode placement; one mixing round restores balance.
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    x ^= x >> 33;
-    x
-}
-
 impl Ring {
     fn build(shards: &[Arc<Shard>], vnodes: usize) -> Ring {
         let mut points = Vec::with_capacity(shards.len() * vnodes);
@@ -264,6 +253,9 @@ impl Ring {
             for v in 0..vnodes.max(1) {
                 let mut h = fnv1a_extend(FNV_OFFSET, shard.addr.as_bytes());
                 h = fnv1a_extend(h, &(v as u64).to_le_bytes());
+                // FNV alone clusters on short, similar inputs like
+                // `host:port` + a counter; one avalanche round spreads
+                // the vnodes evenly.
                 points.push((mix64(h), idx));
             }
         }

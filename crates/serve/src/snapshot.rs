@@ -435,9 +435,12 @@ fn decode_and_rebuild(
         return Err("config/key binding mismatch".to_owned());
     }
     let base = RetainedBase { groups, records };
-    let analyzer =
+    let mut analyzer =
         IncrementalAnalyzer::from_retained_base(&circuit.netlist, &circuit.timing, &config, &base)
             .map_err(|e| format!("retained base rejected: {e}"))?;
+    // Prime the base hashes as the retain path does, so the state
+    // cache's byte accounting matches a never-evicted state's.
+    analyzer.groups_digest();
     let resident = analyzer.resident_bytes();
     Ok((
         Arc::new(RetainedState {

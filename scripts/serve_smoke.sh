@@ -26,6 +26,31 @@ done
 # Synchronous analysis round-trips.
 "$BIN" client analyze sample:c17 --seed 7 --addr "$ADDR" | grep -q '"state":"done"'
 
+# Retain → delta round trip: the retained digest equals a plain
+# analysis of the same circuit, a repeated delta digests the same, and
+# reply assembly shows up as its own phase in /metrics.
+json_field() { # json_field <key> — first string/number value of key on stdin
+  sed -n "s/.*\"$1\":\"\{0,1\}\([0-9a-zA-Z_-]*\)\"\{0,1\}[,}].*/\1/p" | head -1
+}
+fail() { echo "serve smoke: FAIL: $*" >&2; exit 1; }
+PLAIN=$("$BIN" client analyze sample:c17 --seed 7 --addr "$ADDR" | json_field groups_digest)
+RETAINED=$("$BIN" client analyze sample:c17 --seed 7 --retain --addr "$ADDR")
+BASE=$(printf '%s' "$RETAINED" | json_field base)
+[ -n "$PLAIN" ] && [ -n "$BASE" ] || fail "retain returned no digest or base"
+[ "$(printf '%s' "$RETAINED" | json_field groups_digest)" = "$PLAIN" ] \
+  || fail "retained digest differs from a plain analysis"
+delta() {
+  "$BIN" client analyze --base "$BASE" --override gate=16,scale=1.3 --addr "$ADDR" \
+    | json_field groups_digest
+}
+DELTA1=$(delta)
+DELTA2=$(delta)
+[ -n "$DELTA1" ] && [ "$DELTA1" != "$PLAIN" ] || fail "delta digest missing or unchanged"
+[ "$DELTA1" = "$DELTA2" ] || fail "repeated delta digests differ ($DELTA1 != $DELTA2)"
+METRICS=$("$BIN" client metrics --addr "$ADDR")
+grep -q '^pep_serve_phase_seconds{phase="result-assembly"} ' <<<"$METRICS" \
+  || fail "no result-assembly phase in /metrics"
+
 # Detach, poll, cancel: the cancel of a queued/running job succeeds.
 DETACHED=$("$BIN" client analyze profile:s15850 --samples 40 --detach --addr "$ADDR")
 ID=$(printf '%s' "$DETACHED" | sed -n 's/.*"id":\([0-9]*\).*/\1/p')
